@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race lint fault chaos chaos-soak fuzz-smoke smoke shard-smoke bench bench-regress bench-baseline
+.PHONY: test race lint fault chaos chaos-soak fuzz-smoke smoke shard-smoke servebench-check bench bench-regress bench-baseline
 
 test:
 	$(GO) vet ./...
@@ -65,6 +65,13 @@ smoke:
 # SIGTERM (docs/sharding.md).
 shard-smoke:
 	./scripts/smoke_shards.sh
+
+# The serving benchmark (_servebench, its own module importing the
+# server, shard and client packages) must keep building: vet and run
+# its self-tests so an API change fails here, not in a benchmark run.
+servebench-check:
+	$(GO) -C _servebench vet .
+	$(GO) -C _servebench test .
 
 # Human-readable worker-scaling numbers for the fixed 1M-row workload.
 bench:

@@ -34,9 +34,11 @@
 //	mcsd -addr :8080 -tables tpch -model builtin \
 //	  -shards http://localhost:8081,http://localhost:8082,http://localhost:8083
 //
-// Endpoints: POST /query, GET /jobs/{id}, GET /jobs/{id}/result,
-// GET /tables, GET /metrics, GET /healthz, GET /livez, GET /readyz.
-// Example session:
+// Endpoints, the same in both modes (one mux, internal/server's Core):
+// POST /query, GET /jobs/{id}, GET /jobs/{id}/result, GET /tables,
+// GET /metrics, GET /healthz, GET /livez, GET /readyz. A job's outcome
+// is delivered once: the result fetch releases the job, and a second
+// fetch is 404. Example session:
 //
 //	curl -s localhost:8080/query -d '{"table":"tpch_wide","kind":"groupby",
 //	  "sort_cols":[{"name":"p_brand"},{"name":"p_size"}],

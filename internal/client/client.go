@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/obs"
-	"repro/internal/pipeerr"
 	"repro/internal/server"
 )
 
@@ -46,7 +45,7 @@ var ErrBreakerOpen = errors.New("client: circuit breaker open")
 // errors.Is(err, pipeerr.ErrBudgetExceeded) works across the HTTP
 // boundary exactly as it does in process.
 type Error struct {
-	Kind      string // server's errorKind: queue_timeout, budget, watchdog, ...
+	Kind      string // server.ErrorKind: queue_timeout, budget, watchdog, ...
 	Status    int    // HTTP status, 0 when the response never arrived
 	Retryable bool   // server's verdict (pipeerr.Retryable over the wire)
 	Msg       string
@@ -60,20 +59,10 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("client: %s (kind=%s, status=%d, retryable=%t)", e.Msg, e.Kind, e.Status, e.Retryable)
 }
 
-// Unwrap surfaces the matching pipeerr sentinel for typed kinds so the
-// in-process and over-the-wire error vocabularies are one vocabulary.
-func (e *Error) Unwrap() error {
-	switch e.Kind {
-	case "queue_timeout":
-		return pipeerr.ErrQueueTimeout
-	case "budget":
-		return pipeerr.ErrBudgetExceeded
-	case "watchdog":
-		return pipeerr.ErrWatchdog
-	default:
-		return nil
-	}
-}
+// Unwrap surfaces the in-process sentinel of a typed kind (the
+// server's kind table) so the in-process and over-the-wire error
+// vocabularies are one vocabulary.
+func (e *Error) Unwrap() error { return server.KindSentinel(e.Kind) }
 
 // Config tunes the client. The zero value is usable once BaseURL is
 // set; every other field has a serving-shaped default.

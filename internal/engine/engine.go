@@ -388,7 +388,7 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 	}
 	res.Timing.MCS = mres.Timings
 	res.PredictedMCS = choice.Est
-	recordCostAccuracy(q.ID, choice.Est, mres.Timings.Total())
+	recordCostAccuracy(choice.Est, mres.Timings.Total())
 
 	// 5. Consume the sorted output.
 	if q.Window != nil {
@@ -448,7 +448,7 @@ func runContext(ctx context.Context, t *table.Table, q Query, opts Options) (*Re
 // multi-column-sort cost. The aggregate ratio gauge is recomputed from
 // the running totals so `pred_over_meas_x1000` always reflects every
 // query so far (1000 = perfectly calibrated model).
-func recordCostAccuracy(queryID string, predictedNS float64, measured time.Duration) {
+func recordCostAccuracy(predictedNS float64, measured time.Duration) {
 	if !obs.Enabled() {
 		return
 	}
@@ -460,10 +460,6 @@ func recordCostAccuracy(queryID string, predictedNS float64, measured time.Durat
 	obsMeasuredNS.Add(int64(measured))
 	if m := obsMeasuredNS.Value(); m > 0 {
 		obsPredOverMeasMi.Set(obsPredictedNS.Value() * 1000 / m)
-	}
-	if queryID != "" {
-		obs.NewCounter("engine.query." + queryID + ".predicted_mcs_ns").Add(int64(predictedNS))
-		obs.NewCounter("engine.query." + queryID + ".measured_mcs_ns").Add(int64(measured))
 	}
 }
 

@@ -11,10 +11,12 @@
 package server
 
 import (
+	"errors"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pipeerr"
 )
 
 var (
@@ -95,6 +97,20 @@ func (b *panicBreaker) recordSuccess() {
 	st := b.stateLocked()
 	b.mu.Unlock()
 	obsBreakerState.Set(int64(st))
+}
+
+// observe feeds one execution's outcome to the breaker: a contained
+// panic (*pipeerr.PipelineError, serve-layer or worker) counts against
+// it and a success resets it. Other failures — cancellations, refusals
+// — are not health signals and leave the consecutive count alone.
+func (b *panicBreaker) observe(err error) {
+	var pe *pipeerr.PipelineError
+	switch {
+	case err == nil:
+		b.recordSuccess()
+	case errors.As(err, &pe):
+		b.recordPanic()
+	}
 }
 
 // state returns the breaker's current position: open while tripped and

@@ -1,13 +1,4 @@
-// Wire surface of mcsd: HTTP/JSON on the stdlib mux.
-//
-//	POST /query            submit a query; returns {"job_id": "..."}
-//	GET  /jobs/{id}        poll a job's status
-//	GET  /jobs/{id}/result fetch a finished job's result
-//	GET  /tables           list registered tables
-//	GET  /metrics          obs snapshot as JSON (plan cache, admission,
-//	                       pipeline counters)
-//	GET  /healthz          liveness probe
-//
+// Wire form of a query and its result (the endpoints are in core.go).
 // The request decoder is strict — unknown fields, absurd column lists,
 // and negative workers/budgets are rejected with a 400 before any
 // engine code runs — and fuzzed (FuzzQueryRequest) so no byte sequence
@@ -17,20 +8,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net/http"
 
 	"repro/internal/byteslice"
 	"repro/internal/engine"
-	"repro/internal/obs"
-	"repro/internal/pipeerr"
 	"repro/internal/planner"
 )
-
-// errInvalidRequest is the class every request-validation failure
-// wraps; the wire layer maps it to 400.
-var errInvalidRequest = errors.New("server: invalid request")
 
 // Validation bounds. Requests beyond them are rejected up front: the
 // engine would grind through them, but no legitimate query sorts more
@@ -141,17 +124,17 @@ type QueryResult struct {
 
 // ParseQueryRequest strictly decodes and validates one JSON request
 // body. Unknown fields, trailing garbage, and out-of-range values are
-// all errInvalidRequest failures.
+// all ErrInvalidRequest failures.
 func ParseQueryRequest(data []byte) (*QueryRequest, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var req QueryRequest
 	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", errInvalidRequest, err)
+		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
 	// Reject trailing non-whitespace (a second JSON document).
 	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after request object", errInvalidRequest)
+		return nil, fmt.Errorf("%w: trailing data after request object", ErrInvalidRequest)
 	}
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -162,7 +145,7 @@ func ParseQueryRequest(data []byte) (*QueryRequest, error) {
 // Validate checks the request's shape without touching any table.
 func (r *QueryRequest) Validate() error {
 	bad := func(format string, args ...any) error {
-		return fmt.Errorf("%w: %s", errInvalidRequest, fmt.Sprintf(format, args...))
+		return fmt.Errorf("%w: %s", ErrInvalidRequest, fmt.Sprintf(format, args...))
 	}
 	if r.Table == "" || len(r.Table) > MaxNameLen {
 		return bad("table name must be 1..%d bytes", MaxNameLen)
@@ -284,7 +267,7 @@ func (r *QueryRequest) clauseKind() (planner.ClauseKind, error) {
 	case "partitionby":
 		return planner.PartitionBy, nil
 	default:
-		return 0, fmt.Errorf("%w: kind %q (want orderby, groupby, or partitionby)", errInvalidRequest, r.Kind)
+		return 0, fmt.Errorf("%w: kind %q (want orderby, groupby, or partitionby)", ErrInvalidRequest, r.Kind)
 	}
 }
 
@@ -324,7 +307,7 @@ func (r *QueryRequest) ToEngineQuery() (engine.Query, error) {
 		if !f.Between {
 			op, err := filterOp(f.Op)
 			if err != nil {
-				return engine.Query{}, fmt.Errorf("%w: %v", errInvalidRequest, err)
+				return engine.Query{}, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 			}
 			ef.Op = op
 		}
@@ -346,185 +329,4 @@ func (r *QueryRequest) ToEngineQuery() (engine.Query, error) {
 		q.Window = &engine.Window{OrderCol: r.Window.OrderCol, Desc: r.Window.Desc}
 	}
 	return q, nil
-}
-
-// Handler returns the server's HTTP mux.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query", s.handleSubmit)
-	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /tables", s.handleTables)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /livez", s.handleLivez)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	return mux
-}
-
-// maxRequestBytes bounds a request body read; a query description has
-// no business being larger.
-const maxRequestBytes = 1 << 20
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	req, err := ParseQueryRequest(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	id, err := s.Submit(*req)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"job_id": id})
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Status(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	res, err := s.Result(r.PathValue("id"))
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Server) handleTables(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]string{"tables": s.cfg.Registry.Names()})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := obs.WriteJSON(w); err != nil {
-		// Headers are gone; nothing more to do than drop the conn.
-		return
-	}
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleLivez is pure liveness: the process is up and serving HTTP.
-// It stays 200 through drains and degradation — restarts are for dead
-// processes, and a draining server is finishing real work.
-func (s *Server) handleLivez(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "alive"})
-}
-
-// handleReadyz reports whether this server should receive new traffic,
-// with the degraded states the chaos battery drives it through: a
-// drain in progress, the contained-panic breaker open, or the
-// admission queue saturated. The breaker's half-open state counts as
-// ready — readiness is advisory and the server kept executing queries
-// the whole time; one panic-free query closes it, one more panic
-// re-opens it.
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	queued := s.adm.queued()
-	br := s.breaker.state()
-	body := map[string]any{
-		"breaker": br.String(),
-		"queued":  queued,
-	}
-	switch {
-	case closed:
-		body["status"] = "draining"
-	case br == breakerOpen:
-		body["status"] = "degraded"
-		body["reason"] = "breaker open: repeated contained panics"
-	case s.cfg.MaxQueued > 0 && queued > s.cfg.MaxQueued:
-		body["status"] = "degraded"
-		body["reason"] = "admission queue saturated"
-	default:
-		body["status"] = "ready"
-		writeJSON(w, http.StatusOK, body)
-		return
-	}
-	writeJSON(w, http.StatusServiceUnavailable, body)
-}
-
-// readBody reads at most maxRequestBytes of the request body.
-func readBody(r *http.Request) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, maxRequestBytes)); err != nil {
-		return nil, fmt.Errorf("%w: %v", errInvalidRequest, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// statusFor maps server errors to HTTP status codes. The retryable
-// failure classes each get a distinct, conventional status — 429 for
-// queue congestion, 503 (with Retry-After) for a budget refusal, 504
-// for a watchdog kill or an expired deadline, 500 for a contained
-// pipeline fault — so a client needs no message parsing to pick its
-// backoff policy; permanent classes keep their 4xx codes.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, errInvalidRequest):
-		return http.StatusBadRequest
-	case errors.Is(err, errNoJob):
-		return http.StatusNotFound
-	case errors.Is(err, errNotFinished):
-		return http.StatusConflict
-	case errors.Is(err, ErrShuttingDown):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, pipeerr.ErrQueueTimeout):
-		return http.StatusTooManyRequests
-	case errors.Is(err, pipeerr.ErrBudgetExceeded):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, pipeerr.ErrWatchdog):
-		return http.StatusGatewayTimeout
-	case pipeerr.IsCtxErr(err):
-		return http.StatusGatewayTimeout
-	default:
-		// Contained pipeline faults and anything unclassified: the
-		// server, not the request, failed.
-		return http.StatusInternalServerError
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the peer hung up; nothing to report to
-}
-
-// writeError emits the error body with its machine-readable class and
-// retryability, plus a Retry-After hint on the load-induced statuses
-// (the admission queue and the byte budget clear on the next release,
-// so "soon" is honest).
-func writeError(w http.ResponseWriter, status int, err error) {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, map[string]any{
-		"error":     err.Error(),
-		"kind":      errorKind(err),
-		"retryable": pipeerr.Retryable(err),
-	})
 }

@@ -54,8 +54,8 @@ func TestParseQueryRequestRejects(t *testing.T) {
 			if err == nil {
 				t.Fatalf("accepted %s", tc.body)
 			}
-			if !errors.Is(err, errInvalidRequest) {
-				t.Errorf("error %v is not errInvalidRequest", err)
+			if !errors.Is(err, ErrInvalidRequest) {
+				t.Errorf("error %v is not ErrInvalidRequest", err)
 			}
 			if req != nil {
 				t.Error("rejected parse returned a request")
@@ -69,7 +69,7 @@ func TestParseQueryRequestRejects(t *testing.T) {
 		cols = append(cols, fmt.Sprintf(`{"name":"c%d"}`, i))
 	}
 	body := `{"table":"t","kind":"orderby","sort_cols":[` + strings.Join(cols, ",") + `]}`
-	if _, err := ParseQueryRequest([]byte(body)); !errors.Is(err, errInvalidRequest) {
+	if _, err := ParseQueryRequest([]byte(body)); !errors.Is(err, ErrInvalidRequest) {
 		t.Errorf("sort_cols over MaxSortCols: %v", err)
 	}
 }
@@ -227,12 +227,12 @@ func TestErrorKind(t *testing.T) {
 		{fmt.Errorf("server: %w", pipeerr.ErrBudgetExceeded), "budget"},
 		{ErrShuttingDown, "shutdown"},
 		{fmt.Errorf("wrap: %w", context.Canceled), "execution_timeout"},
-		{fmt.Errorf("%w: nope", errInvalidRequest), "invalid"},
+		{fmt.Errorf("%w: nope", ErrInvalidRequest), "invalid"},
 		{errors.New("boom"), "internal"},
 	}
 	for _, tc := range cases {
-		if got := errorKind(tc.err); got != tc.want {
-			t.Errorf("errorKind(%v) = %q, want %q", tc.err, got, tc.want)
+		if got := ErrorKind(tc.err); got != tc.want {
+			t.Errorf("ErrorKind(%v) = %q, want %q", tc.err, got, tc.want)
 		}
 	}
 }

@@ -6,9 +6,9 @@
 // (queue with deadline-aware timeouts, worker degradation, typed
 // pipeerr.ErrBudgetExceeded refusals, graceful drain on shutdown).
 //
-// The wire surface is HTTP/JSON on the stdlib mux (http.go): submit a
-// query, poll its status, fetch its result, scrape /metrics, probe
-// /healthz. Every query that enters through the handler path executes
+// The wire surface is HTTP/JSON on the stdlib mux (core.go, shared
+// with the shard coordinator): submit a query, poll its status, fetch
+// its result, scrape /metrics, probe /healthz. Every query that enters through the handler path executes
 // through exactly the same engine.RunContext call a direct embedder
 // would make, which the differential test battery exploits to prove
 // the serving layer never perturbs results (docs/serving.md).
@@ -19,6 +19,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/table"
 )
@@ -87,4 +88,33 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// Resolve is the request-to-table step both topologies share: it looks
+// req's table up, converts req to the engine's form, and checks every
+// column the request names — sort, window order, filter, aggregate —
+// against the table, returning the sort columns' bit widths (window
+// order column last). Every failure wraps ErrInvalidRequest: an
+// unknown table or column is the caller's mistake (400, kind
+// "invalid", not retryable), never a server fault.
+func (r *Registry) Resolve(req QueryRequest) (*table.Table, engine.Query, []int, error) {
+	t, err := r.Lookup(req.Table)
+	if err != nil {
+		return nil, engine.Query{}, nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+	}
+	q, err := req.ToEngineQuery()
+	if err != nil {
+		return nil, engine.Query{}, nil, err
+	}
+	widths, err := SortColWidths(t, q)
+	for i := 0; err == nil && i < len(q.Filters); i++ {
+		_, err = t.Col(q.Filters[i].Col)
+	}
+	if err == nil && q.Agg != nil && q.Agg.Kind != engine.Count {
+		_, err = t.Col(q.Agg.Col)
+	}
+	if err != nil {
+		return nil, engine.Query{}, nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+	}
+	return t, q, widths, nil
 }

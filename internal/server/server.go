@@ -1,9 +1,7 @@
-// Server core: the session/job layer of mcsd. Submit registers a query
-// as an asynchronous job and schedules it under the base context;
-// Status and Result poll it; Run is the synchronous form the handlers
-// and tests share. Every job flows through exactly one
-// engine.RunContext call, with the plan cache deciding whether the
-// ROGA search runs or a memoized choice is replayed via PlanOverride.
+// The node: mcsd's execute step over the shared job and HTTP core
+// (core.go). Every query flows through exactly one engine.RunContext
+// call, with the plan cache deciding whether the ROGA search runs or a
+// memoized choice is replayed via PlanOverride.
 package server
 
 import (
@@ -11,23 +9,16 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/pipeerr"
 	"repro/internal/planner"
 	"repro/internal/table"
 )
 
-var (
-	obsServerQueries   = obs.NewCounter("server.queries")
-	obsServerErrors    = obs.NewCounter("server.query_errors")
-	obsExecTime        = obs.NewTimer("server.exec")
-	obsContainedPanics = obs.NewCounter("server.contained_panics")
-)
+var obsExecTime = obs.NewTimer("server.exec")
 
 // DefaultMaxPlans is the counted plan-search budget when
 // Config.MaxPlans is 0: enough to search small clauses exhaustively
@@ -94,66 +85,15 @@ type Config struct {
 	MaxQueued int
 }
 
-// Server is a concurrent query service over registered tables.
+// Server is a concurrent query service over registered tables: the
+// shared job and HTTP core driving ROGA over the local tables, behind
+// the node's admission control and panic breaker.
 type Server struct {
+	*Core
 	cfg     Config
 	cache   *PlanCache
 	adm     *admission
 	breaker *panicBreaker
-
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	wg sync.WaitGroup // running jobs
-
-	mu     sync.Mutex
-	jobs   map[string]*job
-	nextID int
-	closed bool
-}
-
-// JobState is the lifecycle of one submitted query.
-type JobState string
-
-const (
-	// JobQueued: accepted, not yet executing (possibly waiting for
-	// admission).
-	JobQueued JobState = "queued"
-	// JobRunning: admitted and executing.
-	JobRunning JobState = "running"
-	// JobDone: finished successfully; the result is available.
-	JobDone JobState = "done"
-	// JobFailed: finished with an error.
-	JobFailed JobState = "failed"
-)
-
-// job is one submitted query and its terminal state.
-type job struct {
-	id  string
-	req QueryRequest
-
-	mu     sync.Mutex
-	state  JobState
-	res    *QueryResult
-	err    error
-	doneCh chan struct{}
-}
-
-// JobStatus is the pollable view of a job.
-type JobStatus struct {
-	ID    string   `json:"id"`
-	State JobState `json:"state"`
-	// Error is the failure message (JobFailed only), with Kind its
-	// machine-readable class: "queue_timeout", "execution_timeout",
-	// "budget", "watchdog", "pipeline", "shutdown", "invalid", or
-	// "internal".
-	Error string `json:"error,omitempty"`
-	Kind  string `json:"kind,omitempty"`
-	// Retryable reports whether re-submitting the identical query may
-	// succeed (pipeerr.Retryable's verdict): true for queue timeouts,
-	// budget refusals, watchdog kills, and contained pipeline faults;
-	// false for validation failures and the caller's own cancellation.
-	Retryable bool `json:"retryable,omitempty"`
 }
 
 // New validates cfg and returns a ready server.
@@ -173,250 +113,49 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxPlans <= 0 {
 		cfg.MaxPlans = DefaultMaxPlans
 	}
-	if cfg.WatchdogMult > 0 && cfg.WatchdogFloor <= 0 {
-		cfg.WatchdogFloor = 2 * time.Second
-	}
 	if cfg.MaxQueued == 0 {
 		cfg.MaxQueued = 8 * cfg.MaxConcurrent
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
-		cfg:        cfg,
-		cache:      NewPlanCache(cfg.PlanCacheSize, cfg.Model),
-		adm:        newAdmission(cfg.MaxConcurrent, cfg.MaxBytes),
-		breaker:    newPanicBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		jobs:       make(map[string]*job),
-	}, nil
+	s := &Server{
+		cfg:     cfg,
+		cache:   NewPlanCache(cfg.PlanCacheSize, cfg.Model),
+		adm:     newAdmission(cfg.MaxConcurrent, cfg.MaxBytes),
+		breaker: newPanicBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+	}
+	s.Core = NewCore(cfg.Registry, s.execute, cfg.WatchdogMult, cfg.WatchdogFloor, "server")
+	s.observe = s.breaker.observe
+	s.readyFn = s.ready
+	s.drainFn = s.adm.close
+	return s, nil
 }
 
 // PlanCache exposes the server's plan cache (tests and /metrics-side
 // introspection).
 func (s *Server) PlanCache() *PlanCache { return s.cache }
 
-// Submit registers req as an asynchronous job and schedules it on the
-// server's base context (plus the request's own timeout, if any). It
-// returns the job id to poll.
-func (s *Server) Submit(req QueryRequest) (string, error) {
-	if err := req.Validate(); err != nil {
-		return "", err
+// ready adds the node's readiness detail to a /readyz body and returns
+// why the node is degraded, if it is: the contained-panic breaker open
+// or the admission queue saturated. The breaker's half-open state
+// counts as ready — readiness is advisory and the server kept
+// executing queries the whole time; one panic-free query closes it,
+// one more panic re-opens it.
+func (s *Server) ready(body map[string]any) string {
+	queued := s.adm.queued()
+	br := s.breaker.state()
+	body["breaker"], body["queued"] = br.String(), queued
+	switch {
+	case br == breakerOpen:
+		return "breaker open: repeated contained panics"
+	case s.cfg.MaxQueued > 0 && queued > s.cfg.MaxQueued:
+		return "admission queue saturated"
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return "", ErrShuttingDown
-	}
-	s.nextID++
-	j := &job{
-		id:     fmt.Sprintf("j%d", s.nextID),
-		req:    req,
-		state:  JobQueued,
-		doneCh: make(chan struct{}),
-	}
-	s.jobs[j.id] = j
-	s.wg.Add(1)
-	s.mu.Unlock()
-
-	// Containment of last resort: s.run recovers pipeline panics
-	// itself, so reaching the onPanic path means the job bookkeeping
-	// panicked. Record the failure so waiters unblock instead of
-	// hanging on a job that will never settle.
-	pipeerr.Spawn(pipeerr.StageServe, func(pe *pipeerr.PipelineError) {
-		j.mu.Lock()
-		settled := j.state == JobDone || j.state == JobFailed
-		if !settled {
-			j.state, j.err = JobFailed, pe
-		}
-		j.mu.Unlock()
-		if !settled {
-			close(j.doneCh)
-		}
-	}, func() {
-		defer s.wg.Done()
-		ctx := s.baseCtx
-		var cancel context.CancelFunc
-		if req.TimeoutMS > 0 {
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-			defer cancel()
-		}
-		res, err := s.run(ctx, j, req)
-		j.mu.Lock()
-		if err != nil {
-			j.state, j.err = JobFailed, err
-		} else {
-			j.state, j.res = JobDone, res
-		}
-		j.mu.Unlock()
-		close(j.doneCh)
-	})
-	return j.id, nil
+	return ""
 }
 
-// Status returns the job's current state.
-func (s *Server) Status(id string) (JobStatus, error) {
-	j, err := s.job(id)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := JobStatus{ID: j.id, State: j.state}
-	if j.err != nil {
-		st.Error = j.err.Error()
-		st.Kind = errorKind(j.err)
-		st.Retryable = pipeerr.Retryable(j.err)
-	}
-	return st, nil
-}
-
-// Result returns the finished job's result, or an error when the job
-// failed or has not finished yet.
-func (s *Server) Result(id string) (*QueryResult, error) {
-	j, err := s.job(id)
-	if err != nil {
-		return nil, err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case JobDone:
-		return j.res, nil
-	case JobFailed:
-		return nil, j.err
-	default:
-		return nil, fmt.Errorf("%w: job %s is %s", errNotFinished, id, j.state)
-	}
-}
-
-// Wait blocks until the job reaches a terminal state or ctx ends, then
-// returns its result as Result would.
-func (s *Server) Wait(ctx context.Context, id string) (*QueryResult, error) {
-	j, err := s.job(id)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case <-j.doneCh:
-		return s.Result(id)
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Run executes req synchronously on the caller's context: the same
-// admission, plan-cache, and engine path Submit's jobs take.
-func (s *Server) Run(ctx context.Context, req QueryRequest) (*QueryResult, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrShuttingDown
-	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
-	return s.run(ctx, nil, req)
-}
-
-// Shutdown drains the server: new submissions are refused and queued
-// waiters fail with ErrShuttingDown, running queries get until ctx
-// ends to finish, then the base context is cancelled so stragglers
-// unwind through the pipeline's cooperative cancellation. It returns
-// nil when the drain completed cleanly and ctx.Err() when stragglers
-// had to be cancelled (they still complete before Shutdown returns —
-// no goroutine outlives it).
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.adm.close()
-
-	done := make(chan struct{})
-	pipeerr.Spawn(pipeerr.StageServe, nil, func() {
-		defer close(done)
-		s.wg.Wait()
-	})
-	select {
-	case <-done:
-		s.baseCancel()
-		return nil
-	case <-ctx.Done():
-		s.baseCancel()
-		<-done
-		return ctx.Err()
-	}
-}
-
-// errNoJob is wrapped by lookups of unknown job ids (wire: 404).
-var errNoJob = errors.New("server: no such job")
-
-// errNotFinished is wrapped when a result is fetched before the job
-// reached a terminal state (wire: 409).
-var errNotFinished = errors.New("server: job not finished")
-
-// job looks up a submitted job by id.
-func (s *Server) job(id string) (*job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j := s.jobs[id]
-	if j == nil {
-		return nil, fmt.Errorf("%w: %q", errNoJob, id)
-	}
-	return j, nil
-}
-
-// run is the one execution path: resolve the table, consult the plan
-// cache, pass admission, and call engine.RunContext. It is also the
-// serve layer's containment boundary: the pipeline's sequential paths
-// execute on this goroutine (the job goroutine, or the caller's for
-// Run), where no worker Group can recover a panic — every such fire
-// point runs with no live workers (docs/robustness.md), so recovering
-// here leaks nothing and turns a would-be process crash into a typed,
-// retryable job failure.
-func (s *Server) run(ctx context.Context, j *job, req QueryRequest) (res *QueryResult, err error) {
-	obsServerQueries.Inc()
-	defer func() {
-		if v := recover(); v != nil {
-			obsContainedPanics.Inc()
-			obsServerErrors.Inc()
-			s.breaker.recordPanic()
-			res = nil
-			err = &pipeerr.PipelineError{Stage: pipeerr.StageServe, Round: -1, Worker: -1, Err: pipeerr.AsError(v)}
-		}
-	}()
-	res, err = s.execute(ctx, j, req)
-	if err != nil {
-		obsServerErrors.Inc()
-		// A contained worker panic surfaces as *PipelineError; it counts
-		// against the readiness breaker like a serve-layer one. Other
-		// failures (cancellations, refusals) are not health signals and
-		// leave the consecutive-panic count alone.
-		var pe *pipeerr.PipelineError
-		if errors.As(err, &pe) {
-			s.breaker.recordPanic()
-		}
-		return nil, pipeerr.NoteCancel(err)
-	}
-	s.breaker.recordSuccess()
-	return res, nil
-}
-
-func (s *Server) execute(ctx context.Context, j *job, req QueryRequest) (*QueryResult, error) {
-	t, err := s.cfg.Registry.Lookup(req.Table)
-	if err != nil {
-		// An unknown table is the caller's mistake, not a server fault:
-		// classify it with the validation failures (400, kind
-		// "invalid", not retryable), not as kind "internal".
-		return nil, fmt.Errorf("%w: %v", errInvalidRequest, err)
-	}
-	q, err := req.ToEngineQuery()
-	if err != nil {
-		return nil, err
-	}
-	widths, err := sortColWidths(t, q)
+// execute is the node's Exec: resolve the request, pass admission,
+// consult the plan cache, and call engine.RunContext.
+func (s *Server) execute(ctx context.Context, req QueryRequest) (*QueryResult, error) {
+	t, q, widths, err := s.cfg.Registry.Resolve(req)
 	if err != nil {
 		return nil, err
 	}
@@ -452,11 +191,6 @@ func (s *Server) execute(ctx context.Context, j *job, req QueryRequest) (*QueryR
 		return nil, err
 	}
 	defer release()
-	if j != nil {
-		j.mu.Lock()
-		j.state = JobRunning
-		j.mu.Unlock()
-	}
 
 	// LIMIT 0 queries never run a plan search (the engine returns the
 	// empty result straight after the filter), so they neither consult
@@ -477,6 +211,9 @@ func (s *Server) execute(ctx context.Context, j *job, req QueryRequest) (*QueryR
 		Workers:   workers,
 		MaxBytes:  maxQueryBytes(req.MaxBytes, s.cfg.MaxBytes, est),
 		Offset:    req.Offset,
+		// The watchdog arms with the floor budget now (covering the
+		// pre-plan stages) and extends once the plan is fixed.
+		OnPlanChosen: Running(ctx),
 	}
 	if len(req.ColOrder) > 0 {
 		opts.FixedColOrder = append([]int(nil), req.ColOrder...)
@@ -489,36 +226,9 @@ func (s *Server) execute(ctx context.Context, j *job, req QueryRequest) (*QueryR
 		opts.PlanOverride = &choice
 	}
 
-	// Watchdog: bound this query's wall time by a hard multiple of its
-	// predicted cost. It arms with the floor budget now (covering the
-	// pre-plan stages) and extends once the plan — and with it the
-	// T_mcs estimate — is fixed. CancelCause keeps the kill
-	// distinguishable from the client's own cancellation.
-	runCtx := ctx
-	if s.cfg.WatchdogMult > 0 {
-		wctx, wcancel := context.WithCancelCause(ctx)
-		defer wcancel(nil)
-		runCtx = wctx
-		wd := startWatchdog(wctx, wcancel, s.cfg.WatchdogFloor)
-		mult := s.cfg.WatchdogMult
-		floor := s.cfg.WatchdogFloor
-		opts.OnPlanChosen = func(predictedNS float64) {
-			if predictedNS > 0 {
-				wd.extend(floor + time.Duration(predictedNS*mult))
-			}
-		}
-	}
-
 	execStart := time.Now()
-	eres, err := engine.RunContext(runCtx, t, q, opts)
+	eres, err := engine.RunContext(ctx, t, q, opts)
 	if err != nil {
-		// A watchdog kill unwinds the pipeline as a plain context
-		// cancellation; surface the typed cause instead.
-		if pipeerr.IsCtxErr(err) {
-			if cause := context.Cause(runCtx); cause != nil && errors.Is(cause, pipeerr.ErrWatchdog) {
-				return nil, cause
-			}
-		}
 		return nil, err
 	}
 	obsExecTime.Add(time.Since(execStart))
@@ -529,7 +239,7 @@ func (s *Server) execute(ctx context.Context, j *job, req QueryRequest) (*QueryR
 			Est:      eres.PredictedMCS,
 		})
 	}
-	return buildResult(j, req, eres, hit, queueWait, time.Since(execStart)), nil
+	return buildResult(req, eres, hit, queueWait, time.Since(execStart)), nil
 }
 
 // maxQueryBytes resolves the per-query engine budget: the request's own
@@ -546,9 +256,9 @@ func maxQueryBytes(reqBytes, serverBytes, reserved int64) int64 {
 	return 0
 }
 
-// sortColWidths resolves the bit width of every sort column (including
-// a window's order column), validating the columns exist.
-func sortColWidths(t *table.Table, q engine.Query) ([]int, error) {
+// SortColWidths resolves the bit width of every sort column of q
+// (including a window's order column), validating they exist in t.
+func SortColWidths(t *table.Table, q engine.Query) ([]int, error) {
 	cols := make([]string, 0, len(q.SortCols)+1)
 	for _, sc := range q.SortCols {
 		cols = append(cols, sc.Name)
@@ -565,6 +275,14 @@ func sortColWidths(t *table.Table, q engine.Query) ([]int, error) {
 		widths[i] = bs.Width
 	}
 	return widths, nil
+}
+
+// PlanKey builds the plan-cache key the server would use for this
+// query shape with no pinned column order. The coordinator extends it
+// with its shard topology so a cached pin is never replayed across
+// re-partitionings.
+func PlanKey(t *table.Table, q engine.Query, widths []int, workers int, rho float64, maxPlans int, limit *int, offset int) string {
+	return planKey(t, q, widths, workers, rho, maxPlans, limit, offset, nil)
 }
 
 // planKey builds the cache key: everything the search outcome depends
@@ -601,7 +319,7 @@ func planKey(t *table.Table, q engine.Query, widths []int, workers int, rho floa
 }
 
 // buildResult converts an engine result into the wire form.
-func buildResult(j *job, req QueryRequest, eres *engine.Result, cacheHit bool, queueWait, exec time.Duration) *QueryResult {
+func buildResult(req QueryRequest, eres *engine.Result, cacheHit bool, queueWait, exec time.Duration) *QueryResult {
 	res := &QueryResult{
 		Table:        req.Table,
 		Rows:         eres.Rows,
@@ -616,38 +334,5 @@ func buildResult(j *job, req QueryRequest, eres *engine.Result, cacheHit bool, q
 		QueueWaitNS:  queueWait.Nanoseconds(),
 		ExecNS:       exec.Nanoseconds(),
 	}
-	if j != nil {
-		res.JobID = j.id
-	}
 	return res
-}
-
-// errorKind classifies a job failure for the wire (JobStatus.Kind).
-// "internal" is the residual class: a query must never need it for a
-// failure the taxonomy has a type for — the chaos battery asserts no
-// storm-induced failure lands there.
-func errorKind(err error) string {
-	var pe *pipeerr.PipelineError
-	switch {
-	case errors.Is(err, pipeerr.ErrQueueTimeout):
-		return "queue_timeout"
-	case errors.Is(err, pipeerr.ErrBudgetExceeded):
-		return "budget"
-	case errors.Is(err, pipeerr.ErrWatchdog):
-		return "watchdog"
-	case errors.Is(err, ErrShuttingDown):
-		return "shutdown"
-	case pipeerr.IsCtxErr(err):
-		return "execution_timeout"
-	case errors.Is(err, errInvalidRequest):
-		return "invalid"
-	case errors.Is(err, errNoJob):
-		return "not_found"
-	case errors.Is(err, errNotFinished):
-		return "not_finished"
-	case errors.As(err, &pe):
-		return "pipeline"
-	default:
-		return "internal"
-	}
 }

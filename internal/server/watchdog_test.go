@@ -57,7 +57,7 @@ func TestWatchdogKillsStuckQuery(t *testing.T) {
 	if !pipeerr.Retryable(err) {
 		t.Error("watchdog kill must be retryable")
 	}
-	if kind := errorKind(err); kind != "watchdog" {
+	if kind := ErrorKind(err); kind != "watchdog" {
 		t.Errorf("errorKind = %q, want watchdog", kind)
 	}
 	// The kill happens once the wedged hook returns (~400ms); it must

@@ -130,6 +130,14 @@ func TestCoordinatorHTTPErrors(t *testing.T) {
 				if st["retryable"] == true {
 					t.Errorf("%s: marked retryable", label)
 				}
+				// The outcome is delivered once, under the kind's status;
+				// the job is released after it.
+				if resp, body := get("/jobs/" + id + "/result"); resp.StatusCode != http.StatusBadRequest || body["kind"] != wantKind {
+					t.Errorf("%s: result %d %v, want 400 %q", label, resp.StatusCode, body["kind"], wantKind)
+				}
+				if resp, body := get("/jobs/" + id + "/result"); resp.StatusCode != http.StatusNotFound || body["kind"] != "not_found" {
+					t.Errorf("%s: second result fetch %d %v, want 404 not_found", label, resp.StatusCode, body["kind"])
+				}
 				return
 			}
 			if time.Now().After(deadline) {
@@ -144,4 +152,14 @@ func TestCoordinatorHTTPErrors(t *testing.T) {
 	// the coordinator's own sub-queries.
 	waitFailed("reserved col_order",
 		`{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"},{"name":"b"}],"col_order":[0,1]}`)
+	// An unknown column is the caller's mistake in every slot a request
+	// names one: sort, window order, filter, aggregate.
+	waitFailed("unknown sort column",
+		`{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"zz"}]}`)
+	waitFailed("unknown window order column",
+		`{"table":"narrow0","kind":"partitionby","sort_cols":[{"name":"a"}],"window":{"order_col":"zz"}}`)
+	waitFailed("unknown filter column",
+		`{"table":"narrow0","kind":"orderby","sort_cols":[{"name":"a"}],"filters":[{"col":"zz","op":"eq","const":1}]}`)
+	waitFailed("unknown agg column",
+		`{"table":"narrow0","kind":"groupby","sort_cols":[{"name":"a"}],"agg":{"kind":"sum","col":"zz"}}`)
 }

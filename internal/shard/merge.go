@@ -13,12 +13,14 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/mergesort"
+	"repro/internal/server"
 )
 
 // errShardInvalid classifies a structurally broken shard response —
-// mismatched lengths, out-of-range oids, keys out of sort order. Not
-// retryable: the same shard would return the same bytes again.
-var errShardInvalid = errors.New("shard: invalid shard response")
+// mismatched lengths, out-of-range oids, keys out of sort order — as
+// kind shard_invalid (502). Not retryable: the same shard would return
+// the same bytes again.
+var errShardInvalid = &server.KindError{Kind: "shard_invalid", Err: errors.New("shard: invalid shard response")}
 
 // mergeCtxStride is how many merge-loop iterations run between context
 // polls in the sequential wide-key paths.
